@@ -1,23 +1,17 @@
 //! Discrete-event-engine benchmark: raw [`ivis_sim::DesEngine`]
-//! throughput, the DES executors against the reference loops across the
+//! throughput, the modelled executor's per-config timings across the
 //! paper matrix, and the 10k-node *exascale what-if* campaign on
 //! [`Campaign::caddy_scaled`].
 //!
-//! The DES migration promises two things at once:
-//!
-//! * **identity** — `run_des` and friends reproduce the reference loops
-//!   bit-for-bit (`tests/des_identity.rs` is the full contract; this
-//!   bench re-asserts the digest half and records the digests so the
-//!   artifact doubles as a cross-machine determinism witness);
-//! * **speed** — the timer-wheel/arena engine sustains millions of
-//!   events per second, and a 10 000-node campaign stays interactive.
+//! Each paper-matrix row and the 10k-node row carries its metrics
+//! digest, so the artifact doubles as a cross-machine determinism
+//! witness (`bench_diff` fails on any digest change).
 //!
 //! Writes `BENCH_des.json` (or the path given as the first non-flag
-//! argument). With `--check`, exits nonzero if any DES digest diverges
-//! from its reference, the raw engine drops below 1M events/s, or the
-//! 10k-node campaign takes longer than 30 s of wall clock — generous
-//! floors meant to catch collapses, not jitter; trajectory gating is
-//! `bench_diff --ratios-only`'s job.
+//! argument). With `--check`, exits nonzero if the raw engine drops
+//! below 1M events/s or the 10k-node campaign takes longer than 30 s of
+//! wall clock — generous floors meant to catch collapses, not jitter;
+//! trajectory gating is `bench_diff --ratios-only`'s job.
 
 use std::time::Instant;
 
@@ -36,8 +30,8 @@ fn time_min_s(reps: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// One self-rescheduling event chain: the single-token shape every DES
-/// executor uses, so this is the per-event floor of the whole port.
+/// One self-rescheduling event chain: the single-token shape of a
+/// sequential event-driven run, so this is the engine's per-event floor.
 fn hot_chain(events: u64) {
     let mut eng: DesEngine<u64> = DesEngine::new();
     eng.schedule_at(SimTime::ZERO, 0);
@@ -106,73 +100,32 @@ fn main() {
         ));
     }
 
-    // --- DES executors vs reference loops, paper matrix ---
+    // --- the modelled executor across the paper matrix ---
     let campaign = Campaign::paper();
-    let reps = 5;
     let mut rows = Vec::new();
     for pc in PipelineConfig::paper_matrix() {
         let label = format!("{}@{}h", pc.kind.label(), pc.rate.every_hours);
-        let reference = campaign.run(&pc);
-        let (des, events) = campaign
-            .try_run_des_with_events(&pc)
-            .expect("clean DES run cannot fail");
-        let identical = des.digest() == reference.digest();
-        if !identical {
-            failures.push(format!(
-                "{label}: DES digest {} != reference {}",
-                des.digest(),
-                reference.digest()
-            ));
-        }
-        let ref_s = time_min_s(reps, || {
+        let digest = campaign.run(&pc).digest();
+        let ref_s = time_min_s(5, || {
             std::hint::black_box(campaign.run(&pc));
         });
-        let des_s = time_min_s(reps, || {
-            std::hint::black_box(campaign.run_des(&pc));
-        });
-        let des_eps = events as f64 / des_s;
-        let speedup = ref_s / des_s;
-        eprintln!(
-            "{label:>22}: ref {:.3} ms, des {:.3} ms ({events} events, \
-             {des_eps:.0} ev/s, speedup {speedup:.2})",
-            ref_s * 1e3,
-            des_s * 1e3
-        );
-        rows.push((
-            label,
-            ref_s,
-            des_s,
-            events,
-            des_eps,
-            speedup,
-            identical,
-            des.digest(),
+        eprintln!("{label:>22}: {:.3} ms", ref_s * 1e3);
+        rows.push(format!(
+            "    {{ \"config\": \"{label}\", \"ref_s\": {ref_s:.6}, \"digest\": \"{digest}\" }}"
         ));
     }
 
-    // --- the exascale what-if: a 10 000-node Caddy on the DES engine ---
+    // --- the exascale what-if: a 10 000-node Caddy ---
     let big = Campaign::caddy_scaled(10_000);
     let pc = PipelineConfig::paper(PipelineKind::InSitu, 8.0);
-    let (big_m, big_events) = big
-        .try_run_des_with_events(&pc)
-        .expect("clean DES run cannot fail");
-    let big_ref = big.run(&pc);
-    let big_identical = big_m.digest() == big_ref.digest();
-    if !big_identical {
-        failures.push(format!(
-            "caddy10k: DES digest {} != reference {}",
-            big_m.digest(),
-            big_ref.digest()
-        ));
-    }
+    let big_digest = big.run(&pc).digest();
     let big_s = time_min_s(3, || {
-        std::hint::black_box(big.run_des(&pc));
+        std::hint::black_box(big.run(&pc));
     });
     eprintln!(
-        "{:>22}: {:.3} ms ({big_events} events) digest {}",
+        "{:>22}: {:.3} ms digest {big_digest}",
         "caddy10k/in-situ@8h",
-        big_s * 1e3,
-        big_m.digest()
+        big_s * 1e3
     );
     if check && big_s > 30.0 {
         failures.push(format!(
@@ -181,16 +134,8 @@ fn main() {
     }
 
     // --- artifact ---
-    let row_json: Vec<String> = rows
-        .iter()
-        .map(|(label, r, d, ev, eps, sp, ok, digest)| {
-            format!(
-                "    {{ \"config\": \"{label}\", \"ref_s\": {r:.6}, \"des_s\": {d:.6}, \
-                 \"des_events\": {ev}, \"des_events_per_sec\": {eps:.0}, \
-                 \"des_speedup\": {sp:.3}, \"bit_identical\": {ok}, \"digest\": \"{digest}\" }}"
-            )
-        })
-        .collect();
+    // `des_vs_reference` keeps its name so leaves line up with earlier
+    // baselines of this file.
     let json = format!(
         "{{\n  \"host\": {{ \"available_parallelism\": {host_threads}, \"zsim_threads\": {} }},\n  \
          \"engine\": {{ \"rows\": [\n    \
@@ -198,11 +143,9 @@ fn main() {
          {{ \"config\": \"engine/wheel_churn\", \"events\": {CHURN_EVENTS}, \"events_per_sec\": {churn_eps:.0} }}\n  ] }},\n  \
          \"des_vs_reference\": {{\n  \"rows\": [\n{}\n  ] }},\n  \
          \"exascale\": {{\n  \"rows\": [\n    \
-         {{ \"config\": \"caddy10k/in-situ@8h\", \"wall_s\": {big_s:.6}, \"des_events\": {big_events}, \
-         \"bit_identical\": {big_identical}, \"digest\": \"{}\" }}\n  ] }}\n}}\n",
+         {{ \"config\": \"caddy10k/in-situ@8h\", \"wall_s\": {big_s:.6}, \"digest\": \"{big_digest}\" }}\n  ] }}\n}}\n",
         zsim.map_or("null".to_string(), |v| format!("\"{v}\"")),
-        row_json.join(",\n"),
-        big_m.digest(),
+        rows.join(",\n"),
     );
     std::fs::write(&out_path, &json).expect("write benchmark json");
     eprintln!("wrote {out_path}");

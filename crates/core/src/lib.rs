@@ -38,7 +38,6 @@ pub mod adaptive;
 pub mod adaptor;
 pub mod campaign;
 pub mod config;
-pub mod des;
 pub mod intransit;
 pub mod metrics;
 pub mod native;
@@ -53,7 +52,6 @@ pub use adaptive::{
 pub use adaptor::{CatalystAdaptor, VizSnapshot};
 pub use campaign::{Campaign, CampaignConfig};
 pub use config::{PipelineConfig, PipelineKind};
-pub use des::{family_dag, DesFamily};
 pub use metrics::PipelineMetrics;
 pub use resilience::{FaultedRun, PipelineError};
 pub use telemetry::{native_power_timeline, RunTelemetry};

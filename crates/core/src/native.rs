@@ -15,14 +15,14 @@
 //! and adapts snapshots while the consumer renders, encodes and tracks
 //! earlier frames, hand-off over a bounded channel of depth *k*
 //! ([`default_pipeline_depth`], overridable per call via
-//! [`run_native_insitu_depth`] or globally with the `ZSIM_PIPELINE_DEPTH`
-//! environment variable). The consumer drains up to `k` queued snapshots
-//! at a time and renders + encodes them **frame-parallel** on the worker
-//! pool — each frame's segmentation, rasterization and PNG encode is an
-//! independent pure function of its deep-copied [`VizSnapshot`] — then
-//! commits the results strictly in frame order: eddy-tracker observations,
-//! Cinema index entries and phase timings are appended by a single thread
-//! in ascending frame order no matter which worker rendered what.
+//! [`run_native_insitu_depth`]). The consumer drains up to `k` queued
+//! snapshots at a time and renders + encodes them **frame-parallel** on
+//! the worker pool — each frame's segmentation, rasterization and PNG
+//! encode is an independent pure function of its deep-copied
+//! [`VizSnapshot`] — then commits the results strictly in frame order:
+//! eddy-tracker observations, Cinema index entries and phase timings are
+//! appended by a single thread in ascending frame order no matter which
+//! worker rendered what.
 //!
 //! Because chunk placement never changes *what* is computed, all outputs
 //! (PNG bytes, Cinema index, eddy tracks, trace structure) are
@@ -332,16 +332,11 @@ fn render_frame(
     }
 }
 
-/// The pipeline depth [`run_native_insitu`] uses: the `ZSIM_PIPELINE_DEPTH`
-/// environment variable if set (≥ 1), else `min(4, available_parallelism)`
-/// — deeper than the host can render in parallel only buys memory traffic.
+/// The pipeline depth [`run_native_insitu`] uses:
+/// `min(4, available_parallelism)` — deeper than the host can render in
+/// parallel only buys memory traffic. Pass an explicit depth to
+/// [`run_native_insitu_depth`] instead.
 pub fn default_pipeline_depth() -> usize {
-    if let Some(d) = std::env::var("ZSIM_PIPELINE_DEPTH")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return d.max(1);
-    }
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -1080,7 +1075,7 @@ mod tests {
 
     #[test]
     fn default_depth_is_at_least_one() {
-        assert!(default_pipeline_depth() >= 1);
+        assert!((1..=4).contains(&default_pipeline_depth()));
     }
 
     #[test]

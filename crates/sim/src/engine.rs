@@ -1,16 +1,13 @@
 //! The indexed discrete-event engine: arena-allocated events popped from
 //! the hierarchical timer wheel.
 //!
-//! [`DesEngine`] is the successor of the closure-calendar
-//! [`Simulation`](crate::event::Simulation) for hot paths: events are
-//! plain values of a caller-chosen type `E` (no per-event `Box`), the
-//! queue is the [`TimerWheel`] index instead of a `BinaryHeap`, and
+//! [`DesEngine`]'s events are plain values of a caller-chosen type `E`
+//! (no per-event `Box`), the queue is the [`TimerWheel`] index, and
 //! scheduling returns an [`EventHandle`] that supports O(1) cancellation.
-//! The determinism contract is identical — events fire in `(time, seq)`
-//! order where `seq` is the insertion counter, so a run is a pure
-//! function of the schedule regardless of host, thread count or wall
-//! clock — and `tests/des_identity.rs` plus the DAG proptest in
-//! [`crate::dag`] hold the two engines to the same total order.
+//! The determinism contract: events fire in `(time, seq)` order where
+//! `seq` is the insertion counter, so a run is a pure function of the
+//! schedule regardless of host, thread count or wall clock. The wheel's
+//! proptest holds the index to a sorted-vector model of that order.
 //!
 //! Dispatch goes through [`EventHandler`] (implemented for free by
 //! `FnMut(&mut DesEngine<E>, SimTime, E)` closures), which receives the
@@ -258,6 +255,13 @@ mod tests {
         // Scheduling between the parked clock and the future events is
         // the wheel's rebase path; order must survive.
         engine.schedule_at(SimTime::from_micros(60), 5);
+        // Stepping from a parked clock moves it forward, never back.
+        assert!(
+            engine.step(&mut |_: &mut DesEngine<u32>, at: SimTime, ev: u32| {
+                seen.push((at.as_micros(), ev));
+            })
+        );
+        assert_eq!(engine.now(), SimTime::from_micros(60));
         engine.run(&mut |_: &mut DesEngine<u32>, at: SimTime, ev: u32| {
             seen.push((at.as_micros(), ev));
         });

@@ -145,6 +145,13 @@ pub enum NcError {
     },
     /// A variable references a dimension index that does not exist.
     BadDimIndex(usize),
+    /// A variable's element count overflows its byte length.
+    TooLarge {
+        /// Variable name.
+        name: String,
+        /// Element count from the header.
+        count: u64,
+    },
 }
 
 impl std::fmt::Display for NcError {
@@ -164,6 +171,12 @@ impl std::fmt::Display for NcError {
                 "variable {name}: shape implies {expected} elements, got {actual}"
             ),
             NcError::BadDimIndex(i) => write!(f, "dimension index {i} out of range"),
+            NcError::TooLarge { name, count } => {
+                write!(
+                    f,
+                    "variable {name}: {count} elements overflow the byte length"
+                )
+            }
         }
     }
 }
@@ -342,8 +355,15 @@ impl NcFile {
                 }
                 dims.push(d);
             }
-            let count = get_u64(buf)? as usize;
-            let raw = take(buf, count * dtype.size())?;
+            let count = get_u64(buf)?;
+            let len = usize::try_from(count)
+                .ok()
+                .and_then(|n| n.checked_mul(dtype.size()))
+                .ok_or_else(|| NcError::TooLarge {
+                    name: name.clone(),
+                    count,
+                })?;
+            let raw = take(buf, len)?;
             let data = match dtype {
                 DataType::F32 => VarData::F32(
                     raw.chunks_exact(4)
@@ -362,7 +382,8 @@ impl NcFile {
                 ),
                 DataType::U8 => VarData::U8(raw.to_vec()),
             };
-            file.vars.push(NcVariable { name, dims, data });
+            // Same shape rule as for a variable built in memory.
+            file.add_var(name, dims, data)?;
         }
         Ok(file)
     }
@@ -490,6 +511,47 @@ mod tests {
             let r = NcFile::decode(&encoded[..cut]);
             assert!(r.is_err(), "prefix of {cut} bytes should fail");
         }
+    }
+
+    #[test]
+    fn overflowing_element_count_rejected() {
+        // A scalar F64 variable whose header claims 2^61 + 1 elements:
+        // the byte length 8 * count wraps to 8, exactly the one value
+        // that follows.
+        let mut f = NcFile::new();
+        f.add_var("v", vec![], VarData::F64(vec![1.0])).unwrap();
+        let mut raw = f.encode().to_vec();
+        let at = raw.len() - 16;
+        let count = (1u64 << 61) + 1;
+        raw[at..at + 8].copy_from_slice(&count.to_le_bytes());
+        assert_eq!(
+            NcFile::decode(&raw),
+            Err(NcError::TooLarge {
+                name: "v".into(),
+                count
+            })
+        );
+    }
+
+    #[test]
+    fn decoded_shape_must_match_dims() {
+        // A writer that bypasses `add_var` can encode a variable whose
+        // length disagrees with its dimensions; decode rejects it.
+        let mut f = NcFile::new();
+        let d = f.add_dim("x", 3);
+        f.vars.push(NcVariable {
+            name: "v".into(),
+            dims: vec![d],
+            data: VarData::F32(vec![0.0; 2]),
+        });
+        assert_eq!(
+            NcFile::decode(&f.encode()),
+            Err(NcError::ShapeMismatch {
+                name: "v".into(),
+                expected: 3,
+                actual: 2
+            })
+        );
     }
 
     #[test]

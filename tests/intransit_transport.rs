@@ -5,7 +5,9 @@
 //!   (`try_run_intransit_reference`, the seed's loop kept verbatim)
 //!   bit-for-bit — every duration in exact microseconds, every energy as
 //!   raw f64 bits — at every thread count, because the transport runs on
-//!   sim time and never consults the host.
+//!   sim time and never consults the host. A staging sweep (partition
+//!   size × depth × compression) keeps its digest and `TransportStats`
+//!   at every thread count too.
 //! * **Queue invariants** (property-tested): in-flight samples never
 //!   exceed the configured depth; every sample of a clean run is shipped
 //!   and written; the makespan is monotonically non-increasing in depth.
@@ -90,7 +92,18 @@ fn depth1_reproduces_synchronous_reference_bit_identically() {
 fn depth1_bit_identity_holds_at_all_thread_counts() {
     // The transport is sim-time-only: thread count must not perturb a
     // single bit of either executor, and noisy campaigns (which exercise
-    // the RNG draw order the equivalence depends on) agree too.
+    // the RNG draw order the equivalence depends on) agree too. The
+    // staging sweep (partition size × queue depth × compression) is held
+    // to the same contract, digest and transport stats both.
+    let sweep = [
+        (10, TransportConfig::synchronous()),
+        (10, TransportConfig::pipelined(4)),
+        (
+            25,
+            TransportConfig::pipelined(2).with_compression(CompressionConfig::zfp_like()),
+        ),
+        (50, TransportConfig::pipelined(2)),
+    ];
     let mut first = None;
     for n in THREAD_COUNTS {
         rayon::set_num_threads(n);
@@ -102,9 +115,18 @@ fn depth1_bit_identity_holds_at_all_thread_counts() {
         let (staged, _) = run_staged(&campaign, 8.0, &it);
         let pair = (fingerprint(&staged), fingerprint(&reference));
         assert_eq!(pair.0, pair.1, "noisy staged vs reference at {n} threads");
+        let sweep_runs: Vec<(String, TransportStats)> = sweep
+            .iter()
+            .map(|(staging, transport)| {
+                let it = it_config(*staging, transport.clone());
+                let (m, stats) = run_staged(&Campaign::paper_noisy(7), 24.0, &it);
+                (m.digest(), stats)
+            })
+            .collect();
+        let runs = (pair, sweep_runs);
         match &first {
-            None => first = Some(pair),
-            Some(f) => assert_eq!(&pair, f, "fingerprint changed at {n} threads"),
+            None => first = Some(runs),
+            Some(f) => assert_eq!(&runs, f, "staged runs changed at {n} threads"),
         }
     }
     rayon::set_num_threads(0);

@@ -3,8 +3,9 @@
 //! The shim's contract is that chunk shapes and combination order are
 //! functions of the input alone, so every parallel hot path — rendering,
 //! the Okubo-Weiss kernel, band compositing, the Eq. 4 what-if sweeps,
-//! and the campaign fan-out — must produce **bit-identical** output at
-//! any thread count, and match the sequential reference implementations
+//! the campaign fan-out and a traced noisy campaign's digest and JSONL
+//! trace — must produce **bit-identical** output at any thread count,
+//! and match the sequential reference implementations
 //! (`rasterize_reference` is the seed's original single-threaded
 //! renderer, kept verbatim as the golden).
 //!
@@ -18,6 +19,7 @@ use ivis_bench::run_matrix_parallel;
 use ivis_core::campaign::Campaign;
 use ivis_core::{PipelineConfig, PipelineKind};
 use ivis_model::WhatIfAnalyzer;
+use ivis_obs::{to_jsonl, Recorder};
 use ivis_ocean::grid::Grid;
 use ivis_ocean::okubo_weiss::okubo_weiss;
 use ivis_ocean::{Field2D, ProblemSpec, SamplingRate};
@@ -166,4 +168,17 @@ fn campaign_fanout_matches_sequential_matrix() {
         .map(fingerprint)
         .collect();
     assert_eq!(parallel, sequential);
+
+    // A noisy, traced campaign consults the RNG stream and the recorder:
+    // its digest and full JSONL trace must not depend on the pool size.
+    for pc in &configs {
+        identical_at_all_thread_counts(|| {
+            let mut campaign = Campaign::paper_noisy(11);
+            let rec = Recorder::in_memory();
+            campaign.config.recorder = rec.clone();
+            let digest = campaign.run(pc).digest();
+            let trace = rec.with_buffer(to_jsonl).expect("recorder is on");
+            (digest, trace)
+        });
+    }
 }
