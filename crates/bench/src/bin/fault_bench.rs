@@ -1,13 +1,14 @@
-//! Fault-path overhead benchmark: the resilient executors with an
-//! **empty** fault plan against the plain clean-path executors, across
-//! the paper's six measured configurations.
+//! Fault-path overhead benchmark: [`Campaign::run_faulted`] with an
+//! **empty** fault plan against [`Campaign::run`], across the paper's six
+//! measured configurations.
 //!
-//! The resilience layer promises that an inert [`FaultScenario`] costs
-//! (approximately) nothing: no RNG draws, no extra allocation on the hot
-//! path, and bit-identical metrics. The integration tests enforce the
-//! bit-identity half of that contract; this bench enforces the wall-clock
-//! half and writes `BENCH_fault.json` (or the path given as the first
-//! non-flag argument) as a tracked perf trajectory.
+//! Clean runs are the fault-aware loops under [`FaultScenario::none`], so
+//! both sides execute the same loop and `no_fault_overhead` times only
+//! the [`ivis_core::FaultedRun`] wrapper (retry-energy attribution over
+//! an empty backoff list and the stats hand-off). The 2% gate is kept so
+//! that wrapper stays free. The bench writes
+//! `BENCH_fault.json` (or the path given as the first non-flag argument)
+//! as a tracked perf trajectory.
 //!
 //! It also replays one *seeded* fault scenario per pipeline and records
 //! the [`ivis_core::FaultedRun::digest`] so the artifact doubles as a cross-thread,
@@ -63,8 +64,8 @@ fn main() {
     let mut faulted_total = 0.0;
     for pc in PipelineConfig::paper_matrix() {
         let label = format!("{}@{}h", pc.kind.label(), pc.rate.every_hours);
-        // Correctness first: the inert scenario must reproduce the clean
-        // run exactly before its cost is worth measuring.
+        // Correctness first: both entry points must agree before their
+        // cost is worth comparing.
         let clean = campaign.run(&pc);
         let faulted = campaign
             .run_faulted(&pc, &none)

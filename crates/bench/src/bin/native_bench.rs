@@ -1,6 +1,6 @@
 //! Frame-chain throughput benchmark for the native backend: solver
-//! stepping (reference vs laned zero-allocation), lane kernels (striped
-//! Adler-32, slice-by-8 CRC-32, the laned sample-table build), PNG
+//! stepping (reference vs laned zero-allocation), kernels (slice-by-8
+//! CRC-32, the laned sample-table build), PNG
 //! encoding (copy-chain vs single-pass streaming), end-to-end frames/sec
 //! (sequential vs pipelined), and the frame pipeline at explicit depths.
 //!
@@ -28,9 +28,7 @@ use ivis_core::native::{
 use ivis_ocean::grid::Grid;
 use ivis_ocean::shallow_water::{ShallowWaterModel, SwParams};
 use ivis_ocean::vortex::seed_random_eddies;
-use ivis_viz::png::{
-    adler32, adler32_reference, crc32, crc32_reference, encode_png_reference, PngEncoder,
-};
+use ivis_viz::png::{crc32, crc32_reference, encode_png_reference, PngEncoder};
 use ivis_viz::raster::SampleTables;
 use ivis_viz::render::FieldRenderer;
 
@@ -125,33 +123,17 @@ fn main() {
         .collect();
     let payload_mb = payload.len() as f64 / 1e6;
     assert_eq!(
-        adler32(&payload),
-        adler32_reference(&payload),
-        "striped Adler-32 must match the serial reference"
-    );
-    assert_eq!(
         crc32(&payload),
         crc32_reference(&payload),
         "slice-by-8 CRC-32 must match the bytewise reference"
     );
-    let adler_ref_s = time_s(15, || {
-        std::hint::black_box(adler32_reference(&payload));
-    });
-    let adler_opt_s = time_s(15, || {
-        std::hint::black_box(adler32(&payload));
-    });
     let crc_ref_s = time_s(15, || {
         std::hint::black_box(crc32_reference(&payload));
     });
     let crc_opt_s = time_s(15, || {
         std::hint::black_box(crc32(&payload));
     });
-    let (adler_ref_mbps, adler_opt_mbps) = (payload_mb / adler_ref_s, payload_mb / adler_opt_s);
     let (crc_ref_mbps, crc_opt_mbps) = (payload_mb / crc_ref_s, payload_mb / crc_opt_s);
-    eprintln!(
-        "adler32: reference {adler_ref_mbps:.0} MB/s, striped {adler_opt_mbps:.0} MB/s ({:.2}x)",
-        adler_opt_mbps / adler_ref_mbps
-    );
     eprintln!(
         "crc32: reference {crc_ref_mbps:.0} MB/s, slice-by-8 {crc_opt_mbps:.0} MB/s ({:.2}x)",
         crc_opt_mbps / crc_ref_mbps
@@ -266,8 +248,6 @@ fn main() {
          \"reference_steps_per_sec\": {ref_sps:.1}, \"optimized_steps_per_sec\": {opt_sps:.1}, \
          \"speedup\": {:.3}, \"bit_identical\": true }},\n  \
          \"simd\": {{\n    \
-         \"adler32\": {{ \"payload_bytes\": {}, \"reference_mb_per_sec\": {adler_ref_mbps:.1}, \
-         \"striped_mb_per_sec\": {adler_opt_mbps:.1}, \"speedup\": {:.3}, \"bit_identical\": true }},\n    \
          \"crc32\": {{ \"payload_bytes\": {}, \"reference_mb_per_sec\": {crc_ref_mbps:.1}, \
          \"sliced_mb_per_sec\": {crc_opt_mbps:.1}, \"speedup\": {:.3}, \"bit_identical\": true }},\n    \
          \"hblend_build\": {{ \"width\": {iw}, \"height\": {ih}, \"scalar_ms\": {:.4}, \
@@ -281,8 +261,6 @@ fn main() {
          \"frame_pipeline_depth\": [\n{}\n  ]\n}}\n",
         zsim.map_or("null".to_string(), |v| format!("\"{v}\"")),
         opt_sps / ref_sps,
-        payload.len(),
-        adler_opt_mbps / adler_ref_mbps,
         payload.len(),
         crc_opt_mbps / crc_ref_mbps,
         hblend_ref_s * 1e3,

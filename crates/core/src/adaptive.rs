@@ -13,20 +13,21 @@
 //!
 //! * [`run_native_adaptive_sequential`] — the strictly-serialized golden
 //!   baseline: solve, analyze, decide, maybe emit, repeat.
-//! * [`run_native_adaptive`] — the pipelined path: a producer thread
-//!   advances the solver and adapts snapshots behind a bounded channel
-//!   (the PR 8 depth-*k* hand-off) while the consumer analyzes earlier
-//!   snapshots, with the candidate evaluations themselves fanned out on
+//! * [`run_native_adaptive`] — the adaptive family on the native
+//!   backend's one frame-chain driver ([`crate::native`]): a producer
+//!   thread advances the solver and adapts snapshots behind a bounded
+//!   depth-*k* channel while batches of earlier snapshots are analyzed in
+//!   parallel, with the candidate evaluations themselves fanned out on
 //!   the worker pool inside [`ivis_trigger::score_viewpoints`].
 //!
 //! The trigger state is inherently sequential (each decision depends on
 //! the previous census), but everything *per snapshot* — segmentation,
 //! candidate windows, evaluation renders, entropy, the full-resolution
 //! render of the winning camera — is a pure function of the snapshot, so
-//! the pipelined consumer computes it all speculatively and the
-//! sequential controller only flips the emit bit at commit time. All
-//! outputs (PNG bytes, Cinema index, decisions, tracks, digest) are
-//! **bit-identical** between both paths at every thread count.
+//! the chain computes it all speculatively and the trigger only flips
+//! the emit bit at commit, in analysis order. All outputs (PNG bytes,
+//! Cinema index, decisions, tracks, digest) are **bit-identical**
+//! between both paths at every thread count.
 
 use std::time::{Duration, Instant};
 
@@ -46,7 +47,10 @@ use ivis_viz::render::FieldRenderer;
 use ivis_viz::CinemaDatabase;
 
 use crate::adaptor::{CatalystAdaptor, VizSnapshot};
-use crate::native::{note_frame, open_native_root, tracker_for, NativeConfig, WallTracer};
+use crate::native::{
+    default_pipeline_depth, drive_frame_chain, note_frame, open_native_root, tracker_for,
+    NativeConfig, WallTracer,
+};
 
 /// What an adaptive campaign produced.
 #[derive(Debug, Clone)]
@@ -138,7 +142,6 @@ struct AnalyzedFrame {
     scores: Vec<ViewpointScore>,
     /// Full-resolution PNG of the winning candidate's window.
     png: Vec<u8>,
-    d_worker: Duration,
 }
 
 /// Segment, score every candidate, pick the winner and render it at full
@@ -152,7 +155,6 @@ fn analyze_snapshot(
     tc: &TriggerConfig,
     snap: &VizSnapshot,
 ) -> AnalyzedFrame {
-    let t0 = Instant::now();
     let w = &snap.okubo_weiss;
     let seg = segment_eddies(w, 0.2, 3);
     let feats = extract_features(grid, w, &seg);
@@ -171,14 +173,13 @@ fn analyze_snapshot(
         census,
         scores,
         png,
-        d_worker: t0.elapsed(),
     }
 }
 
-/// Run the adaptive in-situ pipeline natively with solver/analysis
-/// pipelining (bounded depth-`k` hand-off, PR 8 style). Outputs are
-/// bit-identical to [`run_native_adaptive_sequential`] at every thread
-/// count and depth.
+/// Run the adaptive in-situ pipeline natively on the frame chain
+/// ([`crate::native`]'s depth-`k` driver at [`default_pipeline_depth`]).
+/// Outputs are bit-identical to [`run_native_adaptive_sequential`] at
+/// every thread count and depth.
 pub fn run_native_adaptive(cfg: &NativeConfig, tc: &TriggerConfig) -> AdaptiveReport {
     run_native_adaptive_with(cfg, tc, &Recorder::off())
 }
@@ -193,9 +194,8 @@ pub fn run_native_adaptive_with(
     rec: &Recorder,
 ) -> AdaptiveReport {
     tc.validate();
-    let depth = crate::native::default_pipeline_depth();
     let t_run = Instant::now();
-    let mut model = cfg.build_model();
+    let model = cfg.build_model();
     let grid = model.grid().clone();
     let renderer = FieldRenderer::okubo_weiss(cfg.image_width, cfg.image_height);
     let vgrid = ViewpointGrid::spherical(tc.candidates);
@@ -206,39 +206,15 @@ pub fn run_native_adaptive_with(
     let mut frames = 0u64;
     let mut decisions: Vec<TriggerDecision> = Vec::new();
     let mut census = frame_census(&[]);
-    let mut timings: Vec<(Duration, Duration, Option<FrameCensus>)> = Vec::new();
-    let (tx, rx) = std::sync::mpsc::sync_channel::<(Duration, Duration, VizSnapshot)>(depth);
-    let (ret_tx, ret_rx) = std::sync::mpsc::channel::<VizSnapshot>();
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            let mut adaptor = CatalystAdaptor::new();
-            let mut step = 0u64;
-            while step < cfg.steps {
-                let chunk = tc.analysis_interval.min(cfg.steps - step);
-                let t0 = Instant::now();
-                model.run(chunk);
-                let d_sim = t0.elapsed();
-                step += chunk;
-                let t1 = Instant::now();
-                let snap = match ret_rx.try_recv() {
-                    Ok(mut recycled) => {
-                        adaptor.adapt_into(&model, &mut recycled);
-                        recycled
-                    }
-                    Err(_) => adaptor.adapt(&model),
-                };
-                let d_adapt = t1.elapsed();
-                if tx.send((d_sim, d_adapt, snap)).is_err() {
-                    return; // consumer gone (it panicked); just stop
-                }
-            }
-        });
-        // Consumer: per-snapshot analysis is speculative and pure (the
-        // candidate fan-out runs on the worker pool); only the trigger
-        // decision and the commit are sequential.
-        while let Ok((d_sim, d_adapt, snap)) = rx.recv() {
-            let af = analyze_snapshot(&renderer, &grid, &vgrid, tc, &snap);
-            let t_commit = Instant::now();
+    // Analysis is speculative and pure; only the trigger decision and the
+    // emit are taken at commit, in analysis order.
+    let records = drive_frame_chain(
+        model,
+        cfg.steps,
+        tc.analysis_interval,
+        default_pipeline_depth(),
+        |snap| analyze_snapshot(&renderer, &grid, &vgrid, tc, snap),
+        |_, snap, af| {
             let decision = trigger.analyze(snap.timestep, &af.census, &af.scores);
             census = af.census;
             let emitted = if decision.emit {
@@ -250,21 +226,19 @@ pub fn run_native_adaptive_with(
                 None
             };
             decisions.push(decision);
-            let d_commit = t_commit.elapsed();
-            timings.push((d_sim, d_adapt + af.d_worker + d_commit, emitted));
-            let _ = ret_tx.send(snap); // producer may already be done
-        }
-    });
+            emitted
+        },
+    );
     let wall_end_to_end = t_run.elapsed();
     let mut wtr = WallTracer::new(rec);
     let mut wall_sim = Duration::ZERO;
     let mut wall_viz = Duration::ZERO;
     let mut frame_no = 0u64;
-    for (d_sim, d_viz, emitted) in &timings {
-        wall_sim += *d_sim;
-        wtr.phase(JobPhase::Simulate, *d_sim);
-        wall_viz += *d_viz;
-        wtr.phase(JobPhase::Visualize, *d_viz);
+    for (wall, emitted) in &records {
+        wall_sim += wall.d_sim;
+        wtr.phase(JobPhase::Simulate, wall.d_sim);
+        wall_viz += wall.d_viz;
+        wtr.phase(JobPhase::Visualize, wall.d_viz);
         if let Some(c) = emitted {
             note_frame(rec, wtr.now(), frame_no, c);
             frame_no += 1;
@@ -276,7 +250,7 @@ pub fn run_native_adaptive_with(
     }
     rec.close(wtr.now(), root);
     AdaptiveReport {
-        analyses: timings.len() as u64,
+        analyses: records.len() as u64,
         frames,
         total_steps: cfg.steps,
         decisions,
@@ -380,18 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_matches_sequential_exactly() {
-        let cfg = NativeConfig::tiny();
-        let tc = tiny_trigger();
-        let a = run_native_adaptive(&cfg, &tc);
-        let b = run_native_adaptive_sequential(&cfg, &tc);
-        assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.decisions, b.decisions);
-        assert_eq!(a.cinema.index_json(), b.cinema.index_json());
-        assert_eq!(a.tracks, b.tracks);
-    }
-
-    #[test]
     fn every_analysis_is_accounted_for() {
         let cfg = NativeConfig::tiny();
         let r = run_native_adaptive(&cfg, &tiny_trigger());
@@ -442,15 +404,5 @@ mod tests {
             last = Some(d.step);
         }
         assert!(r.effective_interval_steps() >= tc.min_interval as f64);
-    }
-
-    #[test]
-    fn digest_is_replay_stable() {
-        let cfg = NativeConfig::tiny();
-        let tc = tiny_trigger();
-        assert_eq!(
-            run_native_adaptive(&cfg, &tc).digest(),
-            run_native_adaptive(&cfg, &tc).digest()
-        );
     }
 }

@@ -20,13 +20,14 @@
 
 use ivis_cluster::topology::ClusterTopology;
 use ivis_cluster::{IoWaitPolicy, JobPhase, Machine};
+use ivis_fault::{FaultScenario, FaultSession};
 use ivis_obs::{attribute, AttrValue, Component, EnergyAttribution, Recorder, SpanId};
 use ivis_ocean::cost::SimulationCostModel;
 use ivis_power::node::NodePowerModel;
 use ivis_sim::{SimDuration, SimRng, SimTime};
 use ivis_storage::ParallelFileSystem;
 
-use crate::config::{PipelineConfig, PipelineKind};
+use crate::config::PipelineConfig;
 use crate::metrics::PipelineMetrics;
 use crate::resilience::PipelineError;
 
@@ -201,37 +202,14 @@ impl Campaign {
         }
     }
 
-    /// A campaign on a machine scaled to `cages` ten-node cages of Caddy
-    /// nodes (same per-node power model, same per-core speed, same storage
-    /// rack). `cages = 15` reproduces the paper's machine; other values
-    /// project the methodology onto smaller or larger systems — the paper's
-    /// claim that "the methodology itself is generic".
-    pub fn scaled_caddy(cages: usize) -> Self {
-        assert!(cages > 0, "need at least one cage");
-        let topology = ClusterTopology {
-            num_cages: cages,
-            ..ClusterTopology::caddy()
-        };
-        let mut cost = SimulationCostModel::caddy();
-        cost.cores = topology.num_cores() as u64;
-        let mut config = CampaignConfig::paper();
-        // Rendering strong-scales with the machine: β was measured on 150
-        // nodes.
-        config.viz_seconds_per_output *= 150.0 / topology.num_nodes() as f64;
-        Campaign {
-            config,
-            cost,
-            topology,
-        }
-    }
-
     /// A campaign on a Caddy-style machine scaled to exactly `nodes`
-    /// nodes via [`ClusterTopology::caddy_scaled`] (node-granular where
-    /// [`Campaign::scaled_caddy`] is cage-granular, so 10k-node and
-    /// non-divisible what-ifs are expressible). Per-node power model,
-    /// per-core speed and the storage rack are unchanged; rendering
-    /// strong-scales exactly as in `scaled_caddy`. `caddy_scaled(150)`
-    /// reproduces [`Campaign::paper`] bit-for-bit.
+    /// nodes via [`ClusterTopology::caddy_scaled`] (node-granular, so
+    /// 10k-node and non-divisible what-ifs are expressible; a multiple of
+    /// ten gives ten-node cages). Per-node power model, per-core speed and
+    /// the storage rack are unchanged, so the paper's claim that "the
+    /// methodology itself is generic" can be projected onto smaller or
+    /// larger systems; rendering strong-scales with the node count.
+    /// `caddy_scaled(150)` reproduces [`Campaign::paper`] bit-for-bit.
     pub fn caddy_scaled(nodes: usize) -> Self {
         let topology = ClusterTopology::caddy_scaled(nodes);
         let mut cost = SimulationCostModel::caddy();
@@ -259,11 +237,13 @@ impl Campaign {
 
     /// Execute one pipeline configuration, threading storage failures out
     /// as [`PipelineError`] values instead of unwrapping mid-run.
+    ///
+    /// A clean run is the fault-aware loop under [`FaultScenario::none`]:
+    /// the session never draws from its RNG and keeps every storage hook
+    /// at its nominal value.
     pub fn try_run(&self, pc: &PipelineConfig) -> Result<PipelineMetrics, PipelineError> {
-        match pc.kind {
-            PipelineKind::InSitu => self.run_insitu(pc),
-            PipelineKind::PostProcessing => self.run_postproc(pc),
-        }
+        let mut session = FaultSession::new(&FaultScenario::none());
+        self.run_session(pc, &mut session)
     }
 
     /// Run the full paper matrix (2 pipelines × 3 rates).
@@ -431,119 +411,12 @@ impl Campaign {
         rec.close(now, root);
         Ok(self.harvest(pc, machine, &pfs, now, n_out))
     }
-
-    fn run_insitu(&self, pc: &PipelineConfig) -> Result<PipelineMetrics, PipelineError> {
-        let mut rng = SimRng::new(self.config.seed);
-        let mut machine = self.machine();
-        let mut pfs = ParallelFileSystem::caddy_lustre();
-        let rec = &self.config.recorder;
-        let spec = &pc.spec;
-        let n_out = spec.num_outputs(pc.rate);
-        let spp = spec.steps_per_output(pc.rate);
-        let step_secs = self.cost.step_seconds(spec);
-        let mut now = SimTime::ZERO;
-        let root = self.open_root(pc, now);
-        let mut tracer = PhaseTracer::new(rec);
-        for k in 0..n_out {
-            tracer.begin(&mut machine, now, JobPhase::Simulate);
-            now += SimDuration::from_secs_f64(step_secs * spp as f64 * self.noise(&mut rng));
-            // Catalyst render of this sample.
-            tracer.begin(&mut machine, now, JobPhase::Visualize);
-            now += SimDuration::from_secs_f64(
-                self.config.viz_seconds_per_output * self.noise(&mut rng),
-            );
-            // Write the image set for this sample.
-            tracer.begin(&mut machine, now, JobPhase::WriteOutput);
-            let path = format!("/insitu/cinema/ts_{k:06}.png");
-            let wid = rec.span(now, "pfs_write", Component::Storage);
-            rec.set_attr(
-                wid,
-                "bytes",
-                AttrValue::U64(self.config.image_bytes_per_output),
-            );
-            let submitted = now;
-            now = pfs
-                .write(now, &path, self.config.image_bytes_per_output)
-                .map_err(|source| PipelineError::storage(now, &path, source))?;
-            rec.close(now, wid);
-            note_write(
-                rec,
-                &pfs,
-                submitted,
-                now,
-                k,
-                self.config.image_bytes_per_output,
-            );
-        }
-        // Any trailing steps after the last output.
-        let trailing = spec.total_steps().saturating_sub(n_out * spp);
-        if trailing > 0 {
-            tracer.begin(&mut machine, now, JobPhase::Simulate);
-            now += SimDuration::from_secs_f64(step_secs * trailing as f64 * self.noise(&mut rng));
-        }
-        tracer.finish(&mut machine, now);
-        rec.close(now, root);
-        Ok(self.harvest(pc, machine, &pfs, now, n_out))
-    }
-
-    fn run_postproc(&self, pc: &PipelineConfig) -> Result<PipelineMetrics, PipelineError> {
-        let mut rng = SimRng::new(self.config.seed ^ 0x5151);
-        let mut machine = self.machine();
-        let mut pfs = ParallelFileSystem::caddy_lustre();
-        let rec = &self.config.recorder;
-        let spec = &pc.spec;
-        let n_out = spec.num_outputs(pc.rate);
-        let spp = spec.steps_per_output(pc.rate);
-        let step_secs = self.cost.step_seconds(spec);
-        let raw = spec.raw_output_bytes();
-        let mut now = SimTime::ZERO;
-        let root = self.open_root(pc, now);
-        let mut tracer = PhaseTracer::new(rec);
-        // Stage 1: simulate, write raw netCDF every sample.
-        for k in 0..n_out {
-            tracer.begin(&mut machine, now, JobPhase::Simulate);
-            now += SimDuration::from_secs_f64(step_secs * spp as f64 * self.noise(&mut rng));
-            tracer.begin(&mut machine, now, JobPhase::WriteOutput);
-            let path = format!("/postproc/raw/out_{k:06}.nc");
-            let wid = rec.span(now, "pfs_write", Component::Storage);
-            rec.set_attr(wid, "bytes", AttrValue::U64(raw));
-            let submitted = now;
-            now = pfs
-                .write(now, &path, raw)
-                .map_err(|source| PipelineError::storage(now, &path, source))?;
-            rec.close(now, wid);
-            note_write(rec, &pfs, submitted, now, k, raw);
-        }
-        let trailing = spec.total_steps().saturating_sub(n_out * spp);
-        if trailing > 0 {
-            tracer.begin(&mut machine, now, JobPhase::Simulate);
-            now += SimDuration::from_secs_f64(step_secs * trailing as f64 * self.noise(&mut rng));
-        }
-        // Stage 2: read back and render every sample. Rendering overlaps the
-        // sequential read; the slower of the two bounds the phase.
-        tracer.begin(&mut machine, now, JobPhase::Visualize);
-        let render = self.config.viz_seconds_per_output * n_out as f64 * self.noise(&mut rng);
-        let read = (raw * n_out) as f64 / self.config.seq_read_bandwidth_bps;
-        tracer.attr("render_seconds", AttrValue::F64(render));
-        tracer.attr("read_seconds", AttrValue::F64(read));
-        now += SimDuration::from_secs_f64(render.max(read));
-        // The rendering stage saves its images too.
-        tracer.begin(&mut machine, now, JobPhase::WriteOutput);
-        let images: u64 = self.config.image_bytes_per_output * n_out;
-        let submitted = now;
-        now = pfs
-            .write(now, "/postproc/images.tar", images)
-            .map_err(|source| PipelineError::storage(now, "/postproc/images.tar", source))?;
-        note_write(rec, &pfs, submitted, now, n_out, images);
-        tracer.finish(&mut machine, now);
-        rec.close(now, root);
-        Ok(self.harvest(pc, machine, &pfs, now, n_out))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PipelineKind;
     use crate::metrics::compare;
 
     fn run(kind: PipelineKind, hours: f64) -> PipelineMetrics {
@@ -684,8 +557,8 @@ mod tests {
         // power idles behind the fixed-bandwidth storage during I/O, so the
         // in-situ energy saving *grows* with machine size.
         let mut savings = Vec::new();
-        for cages in [5usize, 15, 45] {
-            let campaign = Campaign::scaled_caddy(cages);
+        for nodes in [50usize, 150, 450] {
+            let campaign = Campaign::caddy_scaled(nodes);
             let insitu = campaign.run(&PipelineConfig::paper(PipelineKind::InSitu, 8.0));
             let post = campaign.run(&PipelineConfig::paper(PipelineKind::PostProcessing, 8.0));
             let c = compare(&insitu, &post);
@@ -741,14 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_caddy_15_matches_paper_campaign() {
-        let a = Campaign::paper().run(&PipelineConfig::paper(PipelineKind::InSitu, 8.0));
-        let b = Campaign::scaled_caddy(15).run(&PipelineConfig::paper(PipelineKind::InSitu, 8.0));
-        assert!((a.execution_time.as_secs_f64() - b.execution_time.as_secs_f64()).abs() < 1e-6);
-        assert!((a.avg_power_total().watts() - b.avg_power_total().watts()).abs() < 1.0);
-    }
-
-    #[test]
     fn burst_buffer_overlaps_writes_with_simulation() {
         use ivis_storage::burst_buffer::BurstBufferConfig;
         let campaign = Campaign::paper();
@@ -770,6 +635,29 @@ mod tests {
             buffered.execution_time.as_secs_f64() > insitu.execution_time.as_secs_f64() + 300.0
         );
         assert_eq!(buffered.storage_bytes, plain.storage_bytes);
+    }
+
+    #[test]
+    fn clean_postproc_trace_spans_every_write_including_the_image_tarball() {
+        // Clean runs take the fault-aware loop, whose image-tarball write
+        // is traced like every raw dump: one `pfs_write` span per raw
+        // output plus one for `images.tar`.
+        let mut campaign = Campaign::paper();
+        let rec = Recorder::in_memory();
+        campaign.config.recorder = rec.clone();
+        let m = campaign.run(&PipelineConfig::paper(PipelineKind::PostProcessing, 72.0));
+        let trace = rec.with_buffer(ivis_obs::to_jsonl).expect("recorder is on");
+        let spans = |name: &str| {
+            trace
+                .lines()
+                .filter(|l| l.contains("\"type\":\"span\"") && l.contains(name))
+                .count() as u64
+        };
+        assert_eq!(m.num_outputs, 60);
+        assert_eq!(spans("\"name\":\"pfs_write\""), m.num_outputs + 1);
+        // Root, 60 × (simulate, write, pfs_write), then the visualize
+        // phase, the final write phase and the tarball's pfs_write.
+        assert_eq!(spans("\"type\":\"span\""), 184);
     }
 
     #[test]

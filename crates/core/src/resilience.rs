@@ -1,11 +1,12 @@
 //! Fault-aware pipeline execution: retries, timeouts and graceful
 //! degradation for the measured-cluster backend.
 //!
-//! The clean executors in [`campaign`](crate::campaign) model the paper's
-//! healthy machine. This module runs the *same* pipelines under an
-//! [`ivis_fault::FaultPlan`] — OSS bandwidth brownouts, MDS stalls,
-//! transient I/O failures, full-disk pressure and compute stragglers —
-//! and gives them the machinery to survive:
+//! This module holds the modelled backend's in-situ and post-processing
+//! loops. [`Campaign::run`] models the paper's healthy machine by running
+//! them under [`FaultScenario::none`]; [`Campaign::run_faulted`] runs the
+//! *same* loops under an [`ivis_fault::FaultPlan`] — OSS bandwidth
+//! brownouts, MDS stalls, transient I/O failures, full-disk pressure and
+//! compute stragglers — with the machinery to survive:
 //!
 //! * a [`RetryPolicy`](ivis_fault::RetryPolicy): bounded exponential
 //!   backoff with deterministic jitter and a per-op latency SLO;
@@ -22,12 +23,13 @@
 //! windows is reported separately ([`FaultedRun::retry_energy`]) so a
 //! degraded run's energy bill can be decomposed.
 //!
-//! **Determinism contract**: with an empty plan the faulted executors are
-//! bit-identical to the clean ones — the fault RNG is never consulted, the
-//! storage hooks stay at their nominal values, and every arithmetic path
-//! multiplies by exactly `1.0`. With a seeded plan the run (metrics, trace
+//! **Determinism contract**: with an empty plan the fault RNG is never
+//! consulted, the storage hooks stay at their nominal values, and every
+//! arithmetic path multiplies by exactly `1.0`, so a clean run is the
+//! paper's fault-free model. With a seeded plan the run (metrics, trace
 //! and stats) replays bit-for-bit at any host thread count; the CI fault
-//! matrix enforces both properties.
+//! matrix enforces it, and `tests/executor_goldens.rs` pins both kinds of
+//! run against committed files.
 
 use ivis_cluster::JobPhase;
 use ivis_fault::{FaultScenario, FaultSession, FaultStats};
@@ -359,21 +361,29 @@ pub(crate) fn resilient_write(
 impl Campaign {
     /// Execute one pipeline configuration under a fault scenario.
     ///
-    /// With [`FaultScenario::none`] the result's metrics and trace are
-    /// bit-identical to [`Campaign::run`]; with a seeded plan the run
-    /// degrades gracefully (retries, sheds) or fails with a typed
-    /// [`PipelineError`] — never a panic.
+    /// [`Campaign::run`] is this executor under [`FaultScenario::none`];
+    /// with a seeded plan the run degrades gracefully (retries, sheds) or
+    /// fails with a typed [`PipelineError`] — never a panic.
     pub fn run_faulted(
         &self,
         pc: &PipelineConfig,
         scenario: &FaultScenario,
     ) -> Result<FaultedRun, PipelineError> {
         let mut session = FaultSession::new(scenario);
-        let metrics = match pc.kind {
-            PipelineKind::InSitu => self.run_insitu_faulted(pc, &mut session)?,
-            PipelineKind::PostProcessing => self.run_postproc_faulted(pc, &mut session)?,
-        };
+        let metrics = self.run_session(pc, &mut session)?;
         Ok(FaultedRun::finish(metrics, session))
+    }
+
+    /// The one in-situ / post-processing executor, driven by `session`.
+    pub(crate) fn run_session(
+        &self,
+        pc: &PipelineConfig,
+        session: &mut FaultSession,
+    ) -> Result<PipelineMetrics, PipelineError> {
+        match pc.kind {
+            PipelineKind::InSitu => self.insitu_loop(pc, session),
+            PipelineKind::PostProcessing => self.postproc_loop(pc, session),
+        }
     }
 
     /// The in-transit pipeline under a fault scenario; see
@@ -384,13 +394,17 @@ impl Campaign {
         it: &InTransitConfig,
         scenario: &FaultScenario,
     ) -> Result<FaultedRun, PipelineError> {
+        // The staged transport ([`crate::transport`]) runs with the live
+        // session, so degradation sheds, retry backoff, compute stragglers
+        // and `LinkBrownout` derating all compose with the depth-`k` queue.
         let mut session = FaultSession::new(scenario);
-        let metrics = self.intransit_faulted_inner(pc, it, &mut session)?;
+        let (metrics, _) = self.intransit_staged(pc, it, &mut session)?;
         Ok(FaultedRun::finish(metrics, session))
     }
 
-    /// Fault-aware mirror of the clean in-situ executor.
-    fn run_insitu_faulted(
+    /// Simulate, render and write the image set of every sample; degraded
+    /// samples skip their render and write.
+    fn insitu_loop(
         &self,
         pc: &PipelineConfig,
         session: &mut FaultSession,
@@ -449,10 +463,12 @@ impl Campaign {
         Ok(self.harvest(pc, machine, &pfs, now, written))
     }
 
-    /// Fault-aware mirror of the clean post-processing executor. Degraded
-    /// samples skip their raw dump, and the read-back/render stage scales
-    /// with the outputs actually written.
-    fn run_postproc_faulted(
+    /// Simulate and write a raw dump every sample, then read back, render
+    /// and write the image tarball. Degraded samples skip their raw dump,
+    /// and the read-back/render stage scales with the outputs actually
+    /// written. Rendering overlaps the sequential read; the slower of the
+    /// two bounds the phase.
+    fn postproc_loop(
         &self,
         pc: &PipelineConfig,
         session: &mut FaultSession,
@@ -524,80 +540,15 @@ impl Campaign {
         rec.close(now, root);
         Ok(self.harvest(pc, machine, &pfs, now, written))
     }
-
-    /// Fault-aware mirror of the clean in-transit executor: the staged
-    /// transport ([`crate::transport`]) runs with the live session, so
-    /// degradation sheds, retry backoff, compute stragglers and
-    /// `LinkBrownout` derating all compose with the depth-`k` queue.
-    fn intransit_faulted_inner(
-        &self,
-        pc: &PipelineConfig,
-        it: &InTransitConfig,
-        session: &mut FaultSession,
-    ) -> Result<PipelineMetrics, PipelineError> {
-        self.intransit_staged(pc, it, session).map(|(m, _)| m)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ivis_fault::{DegradationPolicy, FaultKind, FaultPlan, FaultWindow, RetryPolicy};
-    use ivis_obs::to_jsonl;
 
     fn insitu_8h() -> PipelineConfig {
         PipelineConfig::paper(PipelineKind::InSitu, 8.0)
-    }
-
-    #[test]
-    fn empty_scenario_is_bit_identical_across_paper_matrix() {
-        let campaign = Campaign::paper();
-        for pc in PipelineConfig::paper_matrix() {
-            let clean = campaign.run(&pc);
-            let faulted = campaign
-                .run_faulted(&pc, &FaultScenario::none())
-                .expect("empty scenario cannot fail");
-            let m = &faulted.metrics;
-            assert_eq!(clean.execution_time, m.execution_time);
-            assert_eq!(clean.t_sim, m.t_sim);
-            assert_eq!(clean.t_io, m.t_io);
-            assert_eq!(clean.t_viz, m.t_viz);
-            assert_eq!(clean.storage_bytes, m.storage_bytes);
-            assert_eq!(clean.num_outputs, m.num_outputs);
-            assert_eq!(
-                clean.compute_profile.energy().joules().to_bits(),
-                m.compute_profile.energy().joules().to_bits()
-            );
-            assert_eq!(
-                clean.storage_profile.energy().joules().to_bits(),
-                m.storage_profile.energy().joules().to_bits()
-            );
-            let expected = FaultStats {
-                outputs_written: clean.num_outputs,
-                ..FaultStats::default()
-            };
-            assert_eq!(faulted.stats, expected);
-            assert_eq!(faulted.retry_energy, Joules::ZERO);
-        }
-    }
-
-    #[test]
-    fn empty_scenario_trace_is_bit_identical() {
-        let trace = |faulted: bool| {
-            let mut campaign = Campaign::paper_noisy(11);
-            let rec = Recorder::in_memory();
-            campaign.config.recorder = rec.clone();
-            let pc = insitu_8h();
-            if faulted {
-                campaign
-                    .run_faulted(&pc, &FaultScenario::none())
-                    .expect("empty scenario cannot fail");
-            } else {
-                campaign.run(&pc);
-            }
-            rec.with_buffer(to_jsonl).expect("recorder is on")
-        };
-        assert_eq!(trace(false), trace(true));
     }
 
     #[test]
@@ -754,36 +705,19 @@ mod tests {
     }
 
     #[test]
-    fn intransit_empty_scenario_matches_clean_run() {
+    fn intransit_empty_scenario_counts_every_output() {
         let campaign = Campaign::paper();
         let mut pc = insitu_8h();
         pc.kind = crate::intransit::reported_kind();
         let it = InTransitConfig::caddy_default();
-        let clean = campaign.run_intransit(&pc, &it);
         let faulted = campaign
             .run_intransit_faulted(&pc, &it, &FaultScenario::none())
             .expect("empty scenario cannot fail");
-        assert_eq!(clean.execution_time, faulted.metrics.execution_time);
-        assert_eq!(clean.t_sim, faulted.metrics.t_sim);
-        assert_eq!(
-            clean.compute_profile.energy().joules().to_bits(),
-            faulted.metrics.compute_profile.energy().joules().to_bits()
-        );
         let expected = FaultStats {
-            outputs_written: clean.num_outputs,
+            outputs_written: faulted.metrics.num_outputs,
             ..FaultStats::default()
         };
         assert_eq!(faulted.stats, expected);
-    }
-
-    #[test]
-    fn faulted_run_digest_is_replay_stable() {
-        let campaign = Campaign::paper();
-        let pc = insitu_8h();
-        let plan = FaultPlan::random(42, SimDuration::from_secs(1300));
-        let scenario = FaultScenario::with_plan(plan);
-        let a = campaign.run_faulted(&pc, &scenario).map(|r| r.digest());
-        let b = campaign.run_faulted(&pc, &scenario).map(|r| r.digest());
-        assert_eq!(a.ok(), b.ok());
+        assert_eq!(faulted.retry_energy, Joules::ZERO);
     }
 }

@@ -21,24 +21,26 @@
 //! function, [`png_layout`], so [`encoded_png_size`] is exact *by
 //! construction*.
 //!
-//! ## Width-parallel checksums
+//! ## Checksums
 //!
-//! Stored blocks mean the encoder's arithmetic is *all* checksum work, so
-//! the two inner loops get the classic wide treatments (DESIGN.md §8):
+//! Stored blocks mean the encoder's arithmetic is *all* checksum work:
 //!
 //! * **CRC-32, slice-by-8** — eight derived lookup tables (built at compile
 //!   time from the same polynomial table) fold 8 input bytes per iteration
 //!   instead of 1. CRC over GF(2) is linear, so the split is exact: the
 //!   result equals the bytewise [`crc32_reference`] on every input, which
 //!   the proptests assert.
-//! * **Adler-32, 8-striped with mod-deferral** — within each ≤ 5552-byte
-//!   block, eight [`U32x8`] lane accumulators carry
-//!   `Σ x[8j+l]` and `Σ j·x[8j+l]`; the closed-form recombination in u64
-//!   yields exactly the serial `a += x; b += a` recurrence mod 65521
-//!   ([`adler32_reference`] is the retained golden).
+//! * **Adler-32** — the serial `a += x; b += a` recurrence with zlib's
+//!   deferred reduction (one `mod 65521` per 5552-byte block). An
+//!   8-striped lane version was measured at 0.7× of this loop and removed.
+//!
+//! ## Verification helpers
+//!
+//! [`parse_png_chunks`] and [`unzlib_stored`] read back what the encoder
+//! wrote. They check every length against the input before slicing and
+//! return a typed [`PngError`] on truncated or inconsistent bytes.
 
 use crate::raster::ImageBuffer;
-use ivis_lanes::U32x8;
 
 /// The 8-byte PNG signature.
 pub const PNG_SIGNATURE: [u8; 8] = [0x89, b'P', b'N', b'G', 0x0D, 0x0A, 0x1A, 0x0A];
@@ -137,11 +139,10 @@ const ADLER_NMAX: usize = 5_552;
 const ADLER_MOD: u32 = 65_521;
 
 /// Fold `data` into a running Adler-32 state `(a, b)` with the serial
-/// `a += x; b += a` recurrence — the retained scalar reference for the
-/// striped fast path. Both components are left reduced mod 65521, so
-/// updates can be chained on arbitrary slices.
+/// `a += x; b += a` recurrence. Both components are left reduced mod
+/// 65521, so updates can be chained on arbitrary slices.
 #[inline]
-fn adler32_update_reference(a: &mut u32, b: &mut u32, data: &[u8]) {
+fn adler32_update(a: &mut u32, b: &mut u32, data: &[u8]) {
     for chunk in data.chunks(ADLER_NMAX) {
         for &x in chunk {
             *a += x as u32;
@@ -152,62 +153,10 @@ fn adler32_update_reference(a: &mut u32, b: &mut u32, data: &[u8]) {
     }
 }
 
-/// Fold `data` into a running Adler-32 state `(a, b)`, 8 stripes wide with
-/// deferred reduction. Identical results to [`adler32_update_reference`]:
-/// over one block of `m` bytes, `a' = a + Σ x[i]` and
-/// `b' = b + m·a + Σ (m − i)·x[i]`; with `i = 8j + l` the weighted sum
-/// splits per lane into `(m − l)·Σ_j x[8j+l] − 8·Σ_j j·x[8j+l]`, which the
-/// [`U32x8`] accumulators track without overflow (per-lane byte sums stay
-/// below 2²⁵ within an NMAX block) and the u64 recombination reduces mod
-/// 65521 once per block.
-#[inline]
-fn adler32_update(a: &mut u32, b: &mut u32, data: &[u8]) {
-    const M64: u64 = ADLER_MOD as u64;
-    for chunk in data.chunks(ADLER_NMAX) {
-        let m = chunk.len() as u64;
-        let main = chunk.len() - chunk.len() % 8;
-        let mut sum = U32x8::splat(0);
-        let mut jsum = U32x8::splat(0);
-        for (j, oct) in chunk[..main].chunks_exact(8).enumerate() {
-            let v = U32x8::from_bytes(oct);
-            sum = sum + v;
-            jsum = jsum + U32x8::splat(j as u32) * v;
-        }
-        let mut atot = *a as u64;
-        let mut btot = *b as u64 + m * (*a as u64);
-        if main > 0 {
-            // main > 0 implies m ≥ 8 > l, so m − l cannot underflow.
-            let sums = sum.to_array();
-            let jsums = jsum.to_array();
-            for (l, (&s, &js)) in sums.iter().zip(&jsums).enumerate() {
-                atot += s as u64;
-                // Non-negative: this equals Σ_j (m − 8j − l)·x[8j+l], and
-                // every position weight m − i is ≥ 1 inside the block.
-                btot += (m - l as u64) * s as u64 - 8 * js as u64;
-            }
-        }
-        for (k, &x) in chunk[main..].iter().enumerate() {
-            atot += x as u64;
-            btot += (m - (main + k) as u64) * x as u64;
-        }
-        *a = (atot % M64) as u32;
-        *b = (btot % M64) as u32;
-    }
-}
-
 /// Adler-32 checksum, as zlib requires.
 pub fn adler32(data: &[u8]) -> u32 {
     let (mut a, mut b) = (1u32, 0u32);
     adler32_update(&mut a, &mut b, data);
-    (b << 16) | a
-}
-
-/// Adler-32 via the retained serial recurrence — the golden the striped
-/// path is proptested against, and the baseline `native_bench` measures
-/// the `simd.adler32` speedup from.
-pub fn adler32_reference(data: &[u8]) -> u32 {
-    let (mut a, mut b) = (1u32, 0u32);
-    adler32_update_reference(&mut a, &mut b, data);
     (b << 16) | a
 }
 
@@ -438,55 +387,115 @@ pub fn encoded_png_size(w: usize, h: usize) -> u64 {
     png_layout(w, h).file_len
 }
 
+/// Why [`parse_png_chunks`] or [`unzlib_stored`] rejected its input. A
+/// carried `usize` is the byte offset of the offending structure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PngError {
+    /// The input ends inside the structure starting here.
+    Truncated(usize),
+    /// The first eight bytes are not the PNG signature.
+    BadSignature,
+    /// This chunk's type is not ASCII.
+    BadChunkType(usize),
+    /// This chunk's CRC-32 does not match its type and payload.
+    BadCrc(usize),
+    /// The zlib stream is not deflate, or the block here is compressed;
+    /// only stored blocks are understood.
+    NotStored(usize),
+    /// This stored block's NLEN is not the complement of its LEN.
+    LenMismatch(usize),
+    /// The zlib stream's Adler-32 does not match the decoded bytes.
+    BadAdler,
+    /// Bytes follow the IEND chunk or the Adler-32, starting here.
+    TrailingBytes(usize),
+}
+
+impl std::fmt::Display for PngError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "malformed PNG: {self:?}")
+    }
+}
+
+impl std::error::Error for PngError {}
+
+/// `n` bytes of `data` from `at`, or [`PngError::Truncated`]. `n` may
+/// come from an untrusted length field, so the end offset is checked.
+fn field(data: &[u8], at: usize, n: usize) -> Result<&[u8], PngError> {
+    at.checked_add(n)
+        .and_then(|end| data.get(at..end))
+        .ok_or(PngError::Truncated(at))
+}
+
+fn be_u32(b: &[u8]) -> u32 {
+    u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+}
+
 /// Minimal structural PNG parser: validates the signature and every
-/// chunk's CRC, returning `(type, payload)` pairs. A verification helper
-/// for tests (unit, integration and property) — not a general decoder.
-///
-/// # Panics
-/// Panics on any structural violation.
-pub fn parse_png_chunks(data: &[u8]) -> Vec<(String, Vec<u8>)> {
-    assert_eq!(&data[..8], &PNG_SIGNATURE);
+/// chunk's CRC up to and including IEND, returning `(type, payload)`
+/// pairs. A verification helper for tests (unit, integration and
+/// property) — not a general decoder.
+pub fn parse_png_chunks(data: &[u8]) -> Result<Vec<(String, Vec<u8>)>, PngError> {
+    if field(data, 0, 8)? != PNG_SIGNATURE {
+        return Err(PngError::BadSignature);
+    }
     let mut chunks = Vec::new();
     let mut pos = 8;
-    while pos < data.len() {
-        let len = u32::from_be_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-        let kind = String::from_utf8(data[pos + 4..pos + 8].to_vec()).unwrap();
-        let payload = data[pos + 8..pos + 8 + len].to_vec();
-        let stored_crc =
-            u32::from_be_bytes(data[pos + 8 + len..pos + 12 + len].try_into().unwrap());
-        let computed = crc32(&data[pos + 4..pos + 8 + len]);
-        assert_eq!(stored_crc, computed, "bad CRC on {kind}");
-        chunks.push((kind, payload));
-        pos += 12 + len;
+    loop {
+        let len = be_u32(field(data, pos, 4)?) as usize;
+        // Length, type, payload and CRC.
+        let chunk = field(data, pos, len.saturating_add(12))?;
+        let (covered, crc) = chunk[4..].split_at(4 + len);
+        if !covered[..4].is_ascii() {
+            return Err(PngError::BadChunkType(pos));
+        }
+        if be_u32(crc) != crc32(covered) {
+            return Err(PngError::BadCrc(pos));
+        }
+        let kind = String::from_utf8_lossy(&covered[..4]).into_owned();
+        pos += chunk.len();
+        let end = kind == "IEND";
+        chunks.push((kind, covered[4..].to_vec()));
+        if end {
+            break;
+        }
     }
-    chunks
+    if pos != data.len() {
+        return Err(PngError::TrailingBytes(pos));
+    }
+    Ok(chunks)
 }
 
 /// Decode a zlib stream of stored deflate blocks (the inverse of this
 /// encoder's IDAT payload), verifying LEN/NLEN framing and the Adler-32.
 /// A verification helper for tests — only stored blocks are understood.
-///
-/// # Panics
-/// Panics on compressed blocks, framing errors, or checksum mismatch.
-pub fn unzlib_stored(z: &[u8]) -> Vec<u8> {
-    assert_eq!(z[0] & 0x0F, 8, "deflate method");
+pub fn unzlib_stored(z: &[u8]) -> Result<Vec<u8>, PngError> {
+    if field(z, 0, 2)?[0] & 0x0F != 8 {
+        return Err(PngError::NotStored(0));
+    }
     let mut out = Vec::new();
     let mut pos = 2;
     loop {
-        let bfinal = z[pos] & 1;
-        assert_eq!(z[pos] >> 1, 0, "stored block expected");
-        let len = u16::from_le_bytes(z[pos + 1..pos + 3].try_into().unwrap()) as usize;
-        let nlen = u16::from_le_bytes(z[pos + 3..pos + 5].try_into().unwrap());
-        assert_eq!(!(len as u16), nlen, "LEN/NLEN mismatch");
-        out.extend_from_slice(&z[pos + 5..pos + 5 + len]);
-        pos += 5 + len;
-        if bfinal == 1 {
+        let head = field(z, pos, 5)?;
+        if head[0] >> 1 != 0 {
+            return Err(PngError::NotStored(pos));
+        }
+        let len = u16::from_le_bytes([head[1], head[2]]);
+        if !len != u16::from_le_bytes([head[3], head[4]]) {
+            return Err(PngError::LenMismatch(pos));
+        }
+        out.extend_from_slice(field(z, pos + 5, len as usize)?);
+        pos += 5 + len as usize;
+        if head[0] & 1 == 1 {
             break;
         }
     }
-    let expect = u32::from_be_bytes(z[pos..pos + 4].try_into().unwrap());
-    assert_eq!(adler32(&out), expect, "adler mismatch");
-    out
+    if be_u32(field(z, pos, 4)?) != adler32(&out) {
+        return Err(PngError::BadAdler);
+    }
+    if pos + 4 != z.len() {
+        return Err(PngError::TrailingBytes(pos + 4));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -495,7 +504,7 @@ mod tests {
     use crate::color::Rgb;
 
     fn parse_chunks(data: &[u8]) -> Vec<(String, Vec<u8>)> {
-        parse_png_chunks(data)
+        parse_png_chunks(data).expect("encoder output parses")
     }
 
     #[test]
@@ -511,11 +520,23 @@ mod tests {
         assert_eq!(adler32(b"Wikipedia"), 0x11E6_0398);
     }
 
+    /// Adler-32 reduced after every byte — the textbook definition.
+    fn adler32_per_byte(data: &[u8]) -> u32 {
+        let (mut a, mut b) = (1u32, 0u32);
+        for &x in data {
+            a = (a + x as u32) % ADLER_MOD;
+            b = (b + a) % ADLER_MOD;
+        }
+        (b << 16) | a
+    }
+
     #[test]
     fn fast_checksums_match_references_at_all_tail_lengths() {
         // Lengths straddling the 8-byte stride and the NMAX reduction
-        // boundary, including every tail length 0..8.
+        // boundary, including every tail length 0..8; all-0xFF input
+        // drives Adler's deferred sums to their overflow bound.
         let data: Vec<u8> = (0..20_000u32).map(|i| (i * 131 % 256) as u8).collect();
+        let ones = vec![0xFFu8; 20_000];
         let mut lens: Vec<usize> = (0..=16).collect();
         lens.extend([
             5_551, 5_552, 5_553, 5_559, 5_560, 11_104, 11_105, 19_993, 20_000,
@@ -523,7 +544,9 @@ mod tests {
         for &len in &lens {
             let d = &data[..len];
             assert_eq!(crc32(d), crc32_reference(d), "crc len {len}");
-            assert_eq!(adler32(d), adler32_reference(d), "adler len {len}");
+            assert_eq!(adler32(d), adler32_per_byte(d), "adler len {len}");
+            let d = &ones[..len];
+            assert_eq!(adler32(d), adler32_per_byte(d), "adler 0xFF len {len}");
         }
     }
 
@@ -568,7 +591,7 @@ mod tests {
         }
         let png = encode_png(&img);
         let chunks = parse_chunks(&png);
-        let raw = unzlib_stored(&chunks[1].1);
+        let raw = unzlib_stored(&chunks[1].1).expect("encoder output inflates");
         // Each scanline: filter byte then RGB triples.
         assert_eq!(raw.len(), 2 * (1 + 12));
         assert_eq!(raw[0], 0);
@@ -653,7 +676,7 @@ mod tests {
         let img = ImageBuffer::new(256, 100); // raw = 100*(1+768) = 76900
         let png = encode_png(&img);
         let chunks = parse_chunks(&png);
-        let raw = unzlib_stored(&chunks[1].1);
+        let raw = unzlib_stored(&chunks[1].1).expect("encoder output inflates");
         assert_eq!(raw.len(), 100 * 769);
         assert_eq!(png.len() as u64, encoded_png_size(256, 100));
         assert_eq!(png_layout(256, 100).n_blocks, 2);
@@ -665,5 +688,55 @@ mod tests {
         // one 720×512 stored-PNG frame is in that ballpark.
         let size = encoded_png_size(720, 512);
         assert!(size > 1_000_000 && size < 1_200_000, "size={size}");
+    }
+
+    #[test]
+    fn malformed_png_bytes_fail_typed_not_panic() {
+        let png = encode_png(&patterned(3, 2));
+        for cut in 0..png.len() {
+            let err = parse_png_chunks(&png[..cut]).unwrap_err();
+            assert!(matches!(err, PngError::Truncated(_)), "cut {cut}: {err}");
+        }
+        let bad = |at: usize, byte: u8| {
+            let mut b = png.clone();
+            b[at] = byte;
+            parse_png_chunks(&b)
+        };
+        assert_eq!(bad(1, b'Q'), Err(PngError::BadSignature));
+        // A length past the end must not overflow the offset arithmetic.
+        assert_eq!(bad(8, 0xFF), Err(PngError::Truncated(8)));
+        assert_eq!(bad(12, 0x80), Err(PngError::BadChunkType(8)));
+        assert_eq!(bad(19, 4), Err(PngError::BadCrc(8))); // IHDR width
+        let mut tail = png.clone();
+        tail.push(0);
+        assert_eq!(
+            parse_png_chunks(&tail),
+            Err(PngError::TrailingBytes(png.len()))
+        );
+    }
+
+    #[test]
+    fn malformed_zlib_bytes_fail_typed_not_panic() {
+        let idat = parse_chunks(&encode_png(&patterned(3, 2))).swap_remove(1).1;
+        for cut in 0..idat.len() {
+            let err = unzlib_stored(&idat[..cut]).unwrap_err();
+            assert!(matches!(err, PngError::Truncated(_)), "cut {cut}: {err}");
+        }
+        let bad = |at: usize, flip: u8| {
+            let mut z = idat.clone();
+            z[at] ^= flip;
+            unzlib_stored(&z)
+        };
+        assert_eq!(bad(0, 0x0F), Err(PngError::NotStored(0)));
+        assert_eq!(bad(2, 0b10), Err(PngError::NotStored(2)));
+        assert_eq!(bad(5, 0xFF), Err(PngError::LenMismatch(2))); // NLEN
+        assert_eq!(bad(7, 1), Err(PngError::BadAdler)); // a filter byte
+        assert_eq!(bad(idat.len() - 1, 1), Err(PngError::BadAdler));
+        let mut tail = idat.clone();
+        tail.push(0);
+        assert_eq!(
+            unzlib_stored(&tail),
+            Err(PngError::TrailingBytes(idat.len()))
+        );
     }
 }

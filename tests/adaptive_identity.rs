@@ -10,6 +10,9 @@
 //! dynamic output the model consumes — always stays within the
 //! configured interval band, whatever the ocean does.
 
+mod common;
+
+use common::normalize_trace;
 use ivis_core::adaptive::{
     run_native_adaptive_sequential_with, run_native_adaptive_with, AdaptiveReport,
 };
@@ -20,34 +23,6 @@ use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const CANDIDATE_COUNTS: [usize; 3] = [1, 5, 10];
-
-/// Zero every digit run that follows a wall-clock-valued position:
-/// `"start_us":`, `"end_us":`, `"t_us":` and sample times (digits right
-/// after `[`). Everything deterministic stays byte-compared.
-fn normalize_trace(trace: &str) -> String {
-    let bytes = trace.as_bytes();
-    let mut out = String::with_capacity(trace.len());
-    let mut i = 0;
-    let markers: [&[u8]; 4] = [b"\"start_us\":", b"\"end_us\":", b"\"t_us\":", b"["];
-    'outer: while i < bytes.len() {
-        for m in markers {
-            if bytes[i..].starts_with(m) {
-                out.push_str(std::str::from_utf8(m).unwrap());
-                i += m.len();
-                if i < bytes.len() && bytes[i].is_ascii_digit() {
-                    out.push('0');
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-                continue 'outer;
-            }
-        }
-        out.push(bytes[i] as char);
-        i += 1;
-    }
-    out
-}
 
 fn run_traced(
     run: fn(&NativeConfig, &TriggerConfig, &Recorder) -> AdaptiveReport,

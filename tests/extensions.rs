@@ -90,16 +90,16 @@ fn planner_integrates_model_and_prices() {
 fn scaling_preserves_findings_on_other_machines() {
     // The paper claims the methodology generalizes; check the key findings
     // hold on a machine a third the size and one three times the size.
-    for cages in [5usize, 45] {
-        let campaign = Campaign::scaled_caddy(cages);
+    for nodes in [50usize, 450] {
+        let campaign = Campaign::caddy_scaled(nodes);
         let insitu = campaign.run(&PipelineConfig::paper(PipelineKind::InSitu, 8.0));
         let post = campaign.run(&PipelineConfig::paper(PipelineKind::PostProcessing, 8.0));
         // Finding 1: in-situ is faster.
-        assert!(insitu.execution_time < post.execution_time, "cages={cages}");
+        assert!(insitu.execution_time < post.execution_time, "nodes={nodes}");
         // Finding 2/3: average power pipeline-independent within a few %.
         let rel = (insitu.avg_power_total().watts() - post.avg_power_total().watts()).abs()
             / post.avg_power_total().watts();
-        assert!(rel < 0.06, "cages={cages} rel={rel}");
+        assert!(rel < 0.06, "nodes={nodes} rel={rel}");
         // Storage is machine-independent.
         assert!((post.storage_gb() - 230.6).abs() < 1.0);
     }

@@ -11,6 +11,9 @@
 //! Also here: a proptest round-tripping random `ImageBuffer`s through the
 //! new single-pass streaming encoder and the stored-block parser.
 
+mod common;
+
+use common::normalize_trace;
 use ivis_core::native::{
     run_native_insitu_sequential_with, run_native_insitu_with, NativeConfig, NativeReport,
 };
@@ -21,35 +24,6 @@ use ivis_viz::raster::ImageBuffer;
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Zero every digit run that follows a wall-clock-valued position:
-/// `"start_us":`, `"end_us":`, `"t_us":` and sample times (digits right
-/// after `[`). Attr values, counter values and record structure pass
-/// through untouched, so everything deterministic stays byte-compared.
-fn normalize_trace(trace: &str) -> String {
-    let bytes = trace.as_bytes();
-    let mut out = String::with_capacity(trace.len());
-    let mut i = 0;
-    let markers: [&[u8]; 4] = [b"\"start_us\":", b"\"end_us\":", b"\"t_us\":", b"["];
-    'outer: while i < bytes.len() {
-        for m in markers {
-            if bytes[i..].starts_with(m) {
-                out.push_str(std::str::from_utf8(m).unwrap());
-                i += m.len();
-                if i < bytes.len() && bytes[i].is_ascii_digit() {
-                    out.push('0');
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-                continue 'outer;
-            }
-        }
-        out.push(bytes[i] as char);
-        i += 1;
-    }
-    out
-}
 
 fn run_traced(
     run: fn(&NativeConfig, &Recorder) -> NativeReport,
@@ -154,9 +128,9 @@ proptest! {
         let mut png = Vec::new();
         enc.encode_into(&img, &mut png);
         prop_assert_eq!(&png, &encode_png_reference(&img));
-        let chunks = parse_png_chunks(&png); // validates signature + CRCs
+        let chunks = parse_png_chunks(&png).expect("signature, CRCs and IEND check out");
         prop_assert_eq!(chunks.len(), 3);
-        let raw = unzlib_stored(&chunks[1].1); // validates framing + Adler
+        let raw = unzlib_stored(&chunks[1].1).expect("framing and Adler check out");
         prop_assert_eq!(raw.len(), h * (1 + 3 * w));
         for y in 0..h {
             let row = &raw[y * (1 + 3 * w)..(y + 1) * (1 + 3 * w)];

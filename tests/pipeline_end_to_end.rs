@@ -2,7 +2,7 @@
 //! the pipelines produce real PNGs, real ncdf files, and identical science.
 
 use insitu_vis::pipeline::native::{run_native_insitu, run_native_postproc, NativeConfig};
-use insitu_vis::viz::png::{crc32, PNG_SIGNATURE};
+use insitu_vis::viz::png::{parse_png_chunks, unzlib_stored};
 
 fn cfg() -> NativeConfig {
     NativeConfig {
@@ -41,22 +41,14 @@ fn cognitive_fidelity_identical_images_and_tracks() {
 fn produced_pngs_are_structurally_valid() {
     let report = run_native_insitu(&cfg());
     for entry in report.cinema.entries() {
-        let data = &entry.data;
-        assert_eq!(&data[..8], &PNG_SIGNATURE, "{}", entry.filename);
-        // Walk all chunks, verifying lengths and CRCs end exactly at EOF
-        // with an IEND chunk.
-        let mut pos = 8;
-        let mut last_kind = [0u8; 4];
-        while pos < data.len() {
-            let len = u32::from_be_bytes(data[pos..pos + 4].try_into().expect("length")) as usize;
-            last_kind.copy_from_slice(&data[pos + 4..pos + 8]);
-            let crc_stored =
-                u32::from_be_bytes(data[pos + 8 + len..pos + 12 + len].try_into().expect("crc"));
-            assert_eq!(crc_stored, crc32(&data[pos + 4..pos + 8 + len]));
-            pos += 12 + len;
-        }
-        assert_eq!(pos, data.len(), "no trailing garbage");
-        assert_eq!(&last_kind, b"IEND");
+        // Signature, every chunk's length and CRC, IEND exactly at EOF,
+        // then the IDAT's stored-block framing and Adler-32.
+        let chunks =
+            parse_png_chunks(&entry.data).unwrap_or_else(|e| panic!("{}: {e}", entry.filename));
+        let kinds: Vec<&str> = chunks.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(kinds, ["IHDR", "IDAT", "IEND"], "{}", entry.filename);
+        let raw = unzlib_stored(&chunks[1].1).expect("IDAT inflates");
+        assert_eq!(raw.len(), 64 * (1 + 3 * 96), "{}", entry.filename);
     }
 }
 

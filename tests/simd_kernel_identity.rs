@@ -3,7 +3,7 @@
 //! frame pipeline must reproduce the sequential goldens at every depth ×
 //! thread-count combination.
 //!
-//! The laned kernels (striped Adler-32, slice-by-8 CRC-32, the sample-table
+//! The laned kernels (slice-by-8 CRC-32, the sample-table
 //! horizontal/vertical blends, the shallow-water interior stencils) are
 //! pure speed transforms: they evaluate the exact per-element expression
 //! tree of the scalar code with fixed lane width and fixed reduction order
@@ -16,26 +16,13 @@ use ivis_ocean::grid::Grid;
 use ivis_ocean::shallow_water::{ShallowWaterModel, SwParams};
 use ivis_ocean::vortex::{seed_vortex, Vortex};
 use ivis_ocean::Field2D;
-use ivis_viz::png::{adler32, adler32_reference, crc32, crc32_reference};
+use ivis_viz::png::{crc32, crc32_reference};
 use ivis_viz::raster::{rasterize, rasterize_reference, SampleTables};
 use ivis_viz::Colormap;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Striped Adler-32 == serial Adler-32 on arbitrary byte strings,
-    /// including lengths spanning the NMAX block boundary and every
-    /// 8-byte-stripe tail.
-    #[test]
-    fn striped_adler32_matches_reference(
-        words in prop::collection::vec(0u64..1_000_000, 0..12_000),
-        pad in 0usize..9,
-    ) {
-        let mut data: Vec<u8> = words.iter().map(|&v| (v % 256) as u8).collect();
-        data.truncate(data.len().saturating_sub(pad)); // exercise tails
-        prop_assert_eq!(adler32(&data), adler32_reference(&data));
-    }
 
     /// Slice-by-8 CRC-32 == bytewise CRC-32 on arbitrary byte strings.
     #[test]
